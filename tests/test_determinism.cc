@@ -187,6 +187,19 @@ TEST(Determinism, FastEngineIdenticalAt1And4Threads)
         expectBitwiseEqual(serial.outputs[i], parallel.outputs[i]);
 }
 
+TEST(Determinism, ServingEngineIdenticalAt1And4Threads)
+{
+    ThreadCountGuard guard;
+    util::setThreadCount(1);
+    const EngineRun serial = runEngine(ExecMode::Serving);
+    util::setThreadCount(4);
+    const EngineRun parallel = runEngine(ExecMode::Serving);
+
+    ASSERT_EQ(serial.outputs.size(), parallel.outputs.size());
+    for (size_t i = 0; i < serial.outputs.size(); ++i)
+        expectBitwiseEqual(serial.outputs[i], parallel.outputs[i]);
+}
+
 TEST(Determinism, AccuracyIdenticalAt1And4Threads)
 {
     ThreadCountGuard guard;

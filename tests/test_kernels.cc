@@ -7,8 +7,8 @@
  * including the ragged row tails the vector registers cannot cover.
  * These tests check that contract at three levels: raw row kernels
  * over the padding-paths geometries, the dense-convolution fallback
- * (row path and channel-major path), and a full engine run in both
- * Fast and Instrumented modes.
+ * (row path and channel-major path), and a full engine run in each
+ * execution mode (Fast, Serving, Instrumented).
  */
 
 #include <cstring>
@@ -551,11 +551,10 @@ struct EngineRun
 };
 
 EngineRun
-runEngine(ExecMode mode)
+runEngine(ExecMode mode, NetworkPlan plan)
 {
     EngineRun run;
-    SnapeaEngine engine(*engineCtx().net,
-                        predictivePlan(*engineCtx().net));
+    SnapeaEngine engine(*engineCtx().net, std::move(plan));
     engine.setMode(mode);
     for (const Tensor &img : engineCtx().data.images)
         run.outputs.push_back(engineCtx().net->forward(img, &engine));
@@ -563,12 +562,32 @@ runEngine(ExecMode mode)
     return run;
 }
 
+EngineRun
+runEngine(ExecMode mode)
+{
+    return runEngine(mode, predictivePlan(*engineCtx().net));
+}
+
+void
+expectOutputsBitwiseEqual(const EngineRun &ref, const EngineRun &got)
+{
+    ASSERT_EQ(ref.outputs.size(), got.outputs.size());
+    for (size_t i = 0; i < ref.outputs.size(); ++i) {
+        ASSERT_EQ(ref.outputs[i].shape(), got.outputs[i].shape());
+        EXPECT_EQ(std::memcmp(ref.outputs[i].data(),
+                              got.outputs[i].data(),
+                              ref.outputs[i].size() * sizeof(float)),
+                  0)
+            << "image " << i;
+    }
+}
+
 } // namespace
 
 /**
- * A full engine run — Fast and Instrumented — produces identical
- * output bits and identical termination statistics whether the
- * kernels dispatch scalar or the best compiled SIMD variant.
+ * A full engine run — Fast, Serving and Instrumented — produces
+ * identical output bits and identical termination statistics whether
+ * the kernels dispatch scalar or the best compiled SIMD variant.
  */
 TEST(KernelEngine, ScalarAndBestIsaRunsBitwiseIdentical)
 {
@@ -578,22 +597,13 @@ TEST(KernelEngine, ScalarAndBestIsaRunsBitwiseIdentical)
     IsaGuard guard;
 
     for (const ExecMode mode :
-         {ExecMode::Fast, ExecMode::Instrumented}) {
+         {ExecMode::Fast, ExecMode::Serving, ExecMode::Instrumented}) {
         kernels::setActiveIsa(kernels::Isa::Scalar);
         const EngineRun ref = runEngine(mode);
         kernels::setActiveIsa(simd.back());
         const EngineRun got = runEngine(mode);
 
-        ASSERT_EQ(ref.outputs.size(), got.outputs.size());
-        for (size_t i = 0; i < ref.outputs.size(); ++i) {
-            ASSERT_EQ(ref.outputs[i].shape(), got.outputs[i].shape());
-            EXPECT_EQ(std::memcmp(ref.outputs[i].data(),
-                                  got.outputs[i].data(),
-                                  ref.outputs[i].size()
-                                      * sizeof(float)),
-                      0)
-                << "image " << i;
-        }
+        expectOutputsBitwiseEqual(ref, got);
         ASSERT_EQ(ref.stats.size(), got.stats.size());
         for (const auto &[l, st] : ref.stats) {
             ASSERT_TRUE(got.stats.count(l));
@@ -604,6 +614,32 @@ TEST(KernelEngine, ScalarAndBestIsaRunsBitwiseIdentical)
             EXPECT_EQ(st.completed, gs.completed);
             EXPECT_EQ(st.true_negative, gs.true_negative);
             EXPECT_EQ(st.false_negative, gs.false_negative);
+        }
+    }
+}
+
+/**
+ * Serving and Instrumented run the same early-terminating walk and
+ * differ only in what they record per window, so their output
+ * tensors are bitwise equal for the same plan — exact and predictive
+ * — under every available kernel variant.
+ */
+TEST(KernelEngine, ServingAndInstrumentedOutputsBitwiseIdentical)
+{
+    IsaGuard guard;
+    const Network &net = *engineCtx().net;
+    for (const kernels::Isa isa : kernels::availableIsas()) {
+        kernels::setActiveIsa(isa);
+        for (const bool predictive : {false, true}) {
+            SCOPED_TRACE(std::string(kernels::isaName(isa))
+                         + (predictive ? " predictive" : " exact"));
+            const auto plan = [&] {
+                return predictive ? predictivePlan(net)
+                                  : makeExactNetworkPlan(net);
+            };
+            expectOutputsBitwiseEqual(
+                runEngine(ExecMode::Instrumented, plan()),
+                runEngine(ExecMode::Serving, plan()));
         }
     }
 }
