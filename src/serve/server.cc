@@ -1,9 +1,8 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <cstring>
-#include <new>
 
+#include "serve/infer.hh"
 #include "serve/timebase.hh"
 #include "util/fault.hh"
 
@@ -13,9 +12,6 @@ namespace {
 
 /** Poll granularity of the accept/reader loops, ms. */
 constexpr int kPollMs = 50;
-
-/** Backoff never exceeds this multiple of the configured base. */
-constexpr int kBackoffCapFactor = 8;
 
 /** Pending exact re-runs the audit queue holds before sampling drops
  *  (the guardrail must never become backpressure on the hot path). */
@@ -432,47 +428,27 @@ Server::runRequest(Request &req, ServeLevel level,
         return;
     }
 
-    Tensor input(cache_->net().inputShape());
-    std::memcpy(input.data(), req.body.data(), req.body.size());
-
-    int backoff_ms = cfg_.retry_backoff_ms;
-    const int backoff_cap_ms =
-        cfg_.retry_backoff_ms * kBackoffCapFactor;
-    for (int attempt = 1;; ++attempt) {
-        bool transient = false;
-        try {
-            const Tensor out = cache_->net().forward(input, &engine);
-            std::string reply(
-                reinterpret_cast<const char *>(out.data()),
-                out.size() * sizeof(float));
-            sendReply(*req.conn, MsgType::InferReply, req.req_id,
-                      WireStatus::Ok, level, reply);
-            stats_.recordCompleted(level, nowNs() - req.admit_ns);
-            return;
-        } catch (const TransientError &) {
-            transient = true; // injected fault or watchdog-cut stall
-        } catch (const std::bad_alloc &) {
-            transient = true; // alloc pressure: worth one more try
-        }
-        if (!transient || attempt >= cfg_.retry_attempts) {
+    StatusOr<std::string> reply = inferWithRetry(
+        cache_->net(), engine, req.body, cfg_.retry_attempts,
+        cfg_.retry_backoff_ms, [&] {
+            stats_.recordRetry();
+            return req.token->check();
+        });
+    if (!reply.ok()) {
+        const StatusCode code = reply.status().code();
+        if (code == StatusCode::Unavailable)
             stats_.recordFailed();
-            sendReply(*req.conn, MsgType::InferReply, req.req_id,
-                      WireStatus::Unavailable, level, {});
-            return;
-        }
-        stats_.recordRetry();
-        Status retry_check = req.token->check();
-        if (!retry_check.ok()) {
-            stats_.recordShed();
-            sendReply(*req.conn, MsgType::InferReply, req.req_id,
-                      statusCodeToWire(retry_check.code()), level,
-                      {});
-            return;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff_ms));
-        backoff_ms = std::min(backoff_ms * 2, backoff_cap_ms);
+        else
+            stats_.recordShed(); // cancelled or expired before a retry
+        sendReply(*req.conn, MsgType::InferReply, req.req_id,
+                  statusCodeToWire(code), level, {});
+        return;
     }
+    sendReply(*req.conn, MsgType::InferReply, req.req_id,
+              WireStatus::Ok, level, reply.value());
+    stats_.recordCompleted(level, nowNs() - req.admit_ns);
+    if (level == ServeLevel::Predictive)
+        maybeAudit(req, reply.value());
 }
 
 void

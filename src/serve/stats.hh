@@ -135,6 +135,10 @@ class ServeStats
     {
         return audit_divergent_.load(std::memory_order_relaxed);
     }
+    uint64_t auditDroppedTotal() const
+    {
+        return audit_dropped_.load(std::memory_order_relaxed);
+    }
 
     /**
      * JSON object with every counter, latency quantiles over the

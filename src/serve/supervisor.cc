@@ -7,9 +7,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <new>
 
+#include "serve/infer.hh"
 #include "serve/net.hh"
 #include "serve/timebase.hh"
 #include "util/fault.hh"
@@ -18,10 +17,6 @@
 namespace snapea::serve {
 
 namespace {
-
-/** Backoff never exceeds this multiple of the configured base (the
- *  same cap the in-process retry loop uses in server.cc). */
-constexpr int kBackoffCapFactor = 8;
 
 /**
  * SIGCHLD self-pipe: the handler writes one byte, the monitor thread
@@ -650,45 +645,18 @@ runWorkerMain(const WorkerMainConfig &cfg)
             continue;
         }
 
-        Tensor input(cache.value()->net().inputShape());
-        std::memcpy(input.data(), body.data(), body.size());
-        SnapeaEngine &engine =
-            level == ServeLevel::Predictive ? predictive : exact;
-
-        // The same transient-fault retry contract as the in-process
-        // worker loop (server.cc): retries stay inside the worker, so
-        // the supervisor only ever sees terminal outcomes.
-        std::string out_body;
-        WireStatus ws = WireStatus::Ok;
-        int backoff_ms = cfg.retry_backoff_ms;
-        const int backoff_cap_ms =
-            cfg.retry_backoff_ms * kBackoffCapFactor;
-        for (int attempt = 1;; ++attempt) {
-            bool transient = false;
-            try {
-                const Tensor out =
-                    cache.value()->net().forward(input, &engine);
-                out_body.assign(
-                    reinterpret_cast<const char *>(out.data()),
-                    out.size() * sizeof(float));
-                break;
-            } catch (const TransientError &) {
-                transient = true;
-            } catch (const std::bad_alloc &) {
-                transient = true;
-            }
-            if (!transient || attempt >= cfg.retry_attempts) {
-                ws = WireStatus::Unavailable;
-                break;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoff_ms));
-            backoff_ms = std::min(backoff_ms * 2, backoff_cap_ms);
-        }
-        reply.aux = packReplyAux(ws, static_cast<int>(level));
+        // Retries stay inside the worker (the contract the
+        // in-process workers share), so the supervisor only ever
+        // sees terminal outcomes.
+        StatusOr<std::string> out = inferWithRetry(
+            cache.value()->net(),
+            level == ServeLevel::Predictive ? predictive : exact, body,
+            cfg.retry_attempts, cfg.retry_backoff_ms);
+        reply.aux = packReplyAux(
+            out.ok() ? WireStatus::Ok : WireStatus::Unavailable,
+            static_cast<int>(level));
         const std::string_view reply_body =
-            ws == WireStatus::Ok ? std::string_view(out_body)
-                                 : std::string_view();
+            out.ok() ? std::string_view(out.value()) : std::string_view();
         if (!writeFrame(cfg.fd, reply, reply_body).ok())
             return 1;
     }

@@ -80,14 +80,64 @@ tapValue(const PreparedKernel &pk, const Tensor &in, int ih, int iw,
     return in.data()[(static_cast<size_t>(pk.ic[i]) * ih + iy) * iw + ix];
 }
 
+/**
+ * The interior/border split of one conv layer's output rows.  Only
+ * windows of a vertically interior row inside [xlo, xhi) have no
+ * padding taps; the SIMD row kernels take that span, the scalar
+ * padding paths everything else.
+ */
+struct RowSplit
+{
+    int ih, iw, ow, stride, pad, kw;
+    int xlo = 0, xhi = 0;
+
+    RowSplit(const Conv2D &conv, const Tensor &in, const Tensor &out)
+        : ih(in.dim(1)), iw(in.dim(2)), ow(out.dim(2)),
+          stride(conv.spec().stride), pad(conv.spec().pad),
+          kw(conv.spec().kernel)
+    {
+        kernels::interiorXSpan(iw, kw, stride, pad, ow, &xlo, &xhi);
+    }
+
+    /**
+     * Visit output row @p y: @p border(iy0, x0, x1) gets each run of
+     * border windows, @p interior(win0) the interior span, where
+     * win0 is the origin of window xlo inside @p in.
+     */
+    template <class Border, class Interior>
+    void row(const Tensor &in, int y, Border &&border,
+             Interior &&interior) const
+    {
+        const int iy0 = y * stride - pad;
+        if (iy0 >= 0 && iy0 + kw <= ih && xhi > xlo) {
+            border(iy0, 0, xlo);
+            interior(in.data() + static_cast<size_t>(iy0) * iw
+                     + (xlo * stride - pad));
+            border(iy0, xhi, ow);
+        } else {
+            border(iy0, 0, ow);
+        }
+    }
+};
+
+/** One walked window, as handed to a walk sink. */
+struct WalkedWindow
+{
+    float out;     ///< Value the PE wrote.
+    float full;    ///< True convolution value (if kWalkFullKnown).
+    int32_t ops;   ///< Eq. (1) MAC count until termination.
+    uint8_t flags; ///< kernels::kWalk* bits.
+};
+
 } // namespace
 
 /**
- * Reusable instrumented-mode buffers, hoisted out of the per-layer
- * invocation (they were reallocated per layer per image, and the
- * allocator noise polluted kernel benchmarks).  Instrumented mode
- * processes one image at a time, so one scratch per engine suffices;
- * the row buffers are per worker because kernels walk in parallel.
+ * Reusable walk buffers, hoisted out of the per-layer invocation
+ * (they were reallocated per layer per image, and the allocator
+ * noise polluted kernel benchmarks).  Serving and Instrumented
+ * engines process one image at a time, so one scratch per engine
+ * suffices; the row buffers are per worker because kernels walk in
+ * parallel.
  */
 struct EngineScratch
 {
@@ -124,39 +174,29 @@ struct EngineScratch
         }
     };
 
-    /** One output row of walk results in SoA form (kernels::WalkSoa). */
+    /**
+     * One output row of walk results besides the written values
+     * (kernels::WalkSoa::out points straight into the output row).
+     */
     struct WalkRow
     {
-        std::vector<float> out, full;
+        std::vector<float> full;
         std::vector<int32_t> ops;
         std::vector<uint8_t> flags;
-
-        void resize(size_t n)
-        {
-            out.resize(n);
-            full.resize(n);
-            ops.resize(n);
-            flags.resize(n);
-        }
-
-        kernels::WalkSoa soa()
-        {
-            return {out.data(), full.data(), ops.data(), flags.data()};
-        }
     };
 
     std::vector<ChannelPartial> parts;  ///< One per output channel.
     std::vector<WalkRow> rows;          ///< One per pool worker.
 
-    /** Size for a layer of @p n_ch kernels, zeroing the partials. */
-    void prepare(std::int64_t n_ch, int n_workers, int ow)
+    /** Size one row buffer per pool worker for rows of @p ow. */
+    void sizeRows(int ow)
     {
-        parts.resize(n_ch);
-        for (auto &p : parts)
-            p.reset();
-        rows.resize(n_workers);
-        for (auto &r : rows)
-            r.resize(ow);
+        rows.resize(std::max(util::threadCount(), 1));
+        for (WalkRow &r : rows) {
+            r.full.resize(ow);
+            r.ops.resize(ow);
+            r.flags.resize(ow);
+        }
     }
 };
 
@@ -338,6 +378,72 @@ SnapeaEngine::clearTraces()
     traces_.clear();
 }
 
+template <class Sink>
+void
+SnapeaEngine::walk(const PreparedLayer &pl, const Conv2D &conv,
+                   const Tensor &in, Tensor &out, bool need_full,
+                   Sink &&sink)
+{
+    const int oh = out.dim(1);
+    const RowSplit rs(conv, in, out);
+    const kernels::KernelOps &kops = kernels::kernelOps();
+
+    scratch_->sizeRows(rs.ow);
+
+    // Each row is walked straight into the output plane plus SoA
+    // scratch — interior spans by the SIMD walk kernel (one window
+    // per lane, termination via vector masks), border windows by the
+    // scalar walkWindow — then handed to @p sink window by window in
+    // (y, x) order.  Kernels write disjoint output planes and a sink
+    // sees only its own kernel's windows, so outputs are bitwise
+    // identical for any thread count.
+    util::parallel_for(
+        0, static_cast<std::int64_t>(pl.kernels.size()), 1,
+        [&](std::int64_t o) {
+            const PreparedKernel &pk = pl.kernels[o];
+            EngineScratch::WalkRow &wr =
+                scratch_->rows[util::workerIndex()];
+            float *plane = out.data() + o * static_cast<size_t>(oh) * rs.ow;
+            size_t widx = 0;
+            for (int y = 0; y < oh; ++y) {
+                const kernels::WalkSoa soa = {
+                    plane + static_cast<size_t>(y) * rs.ow,
+                    wr.full.data(), wr.ops.data(), wr.flags.data()};
+                rs.row(
+                    in, y,
+                    [&](int iy0, int x0, int x1) {
+                        for (int x = x0; x < x1; ++x) {
+                            const WindowWalk ww = walkWindow(
+                                pk, in, iy0, x * rs.stride - rs.pad,
+                                need_full);
+                            soa.out[x] = ww.out;
+                            soa.full[x] = ww.full_sum;
+                            soa.ops[x] = ww.ops;
+                            soa.flags[x] = static_cast<uint8_t>(
+                                (ww.spec_fired ? kernels::kWalkSpecFired
+                                               : 0)
+                                | (ww.sign_fired
+                                       ? kernels::kWalkSignFired : 0)
+                                | (ww.full_known
+                                       ? kernels::kWalkFullKnown : 0));
+                        }
+                    },
+                    [&](const float *win0) {
+                        const int xlo = rs.xlo;
+                        kops.walk_row(pl.packed[o], win0, rs.stride,
+                                      rs.xhi - xlo, need_full,
+                                      {soa.out + xlo, soa.full + xlo,
+                                       soa.ops + xlo, soa.flags + xlo});
+                    });
+                for (int x = 0; x < rs.ow; ++x, ++widx) {
+                    sink(o, widx,
+                         WalkedWindow{soa.out[x], soa.full[x],
+                                      soa.ops[x], soa.flags[x]});
+                }
+            }
+        });
+}
+
 bool
 SnapeaEngine::runConv(int layer_idx, const Conv2D &conv, const Tensor &in,
                       Tensor &out)
@@ -345,38 +451,39 @@ SnapeaEngine::runConv(int layer_idx, const Conv2D &conv, const Tensor &in,
     auto it = prepared_.find(layer_idx);
     if (it == prepared_.end())
         return false;
+    const PreparedLayer &pl = it->second;
 
     if (mode_ == ExecMode::Fast) {
         // Layers with no speculating kernel produce bit-identical
         // output to the plain convolution; skip the override.
-        if (!it->second.any_predictive)
+        if (!pl.any_predictive)
             return false;
-        runFast(layer_idx, conv, in, out);
+        runFast(pl, conv, in, out);
     } else if (mode_ == ExecMode::Serving) {
-        runServing(layer_idx, conv, in, out);
+        // What a deployed PE does: need_full=false, so a terminated
+        // window stops paying MACs right there, and nothing is
+        // recorded — wall clock tracks Eq. (1) instead of the full
+        // convolution.
+        walk(pl, conv, in, out, /*need_full=*/false,
+             [](std::int64_t, size_t, const WalkedWindow &) {});
     } else {
-        runInstrumented(layer_idx, conv, in, out);
+        runInstrumented(layer_idx, pl, conv, in, out);
     }
     return true;
 }
 
 void
-SnapeaEngine::runFast(int layer_idx, const Conv2D &conv, const Tensor &in,
-                      Tensor &out)
+SnapeaEngine::runFast(const PreparedLayer &pl, const Conv2D &conv,
+                      const Tensor &in, Tensor &out)
 {
-    const PreparedLayer &pl = prepared_.at(layer_idx);
     // The dense pass writes straight into the caller's tensor (no
     // per-invocation allocation); speculated windows are squashed in
     // place below.
     conv.forwardInto(in, out);
 
-    const int oh = out.dim(1), ow = out.dim(2);
-    const int ih = in.dim(1), iw = in.dim(2);
-    const int stride = conv.spec().stride, pad = conv.spec().pad;
-    const int kw = conv.spec().kernel;
+    const int oh = out.dim(1);
+    const RowSplit rs(conv, in, out);
     const kernels::KernelOps &kops = kernels::kernelOps();
-    int xlo, xhi;
-    kernels::interiorXSpan(iw, kw, stride, pad, ow, &xlo, &xhi);
 
     // Kernels write disjoint output planes; the per-window prefix
     // sums are unchanged, so the squashing decisions are identical
@@ -389,102 +496,33 @@ SnapeaEngine::runFast(int layer_idx, const Conv2D &conv, const Tensor &in,
             const PreparedKernel &pk = pl.kernels[o];
             if (pk.prefix_len == 0)
                 return;
-            const kernels::PackedKernel &pp = pl.packed[o];
-            float *row = out.data() + o * static_cast<size_t>(oh) * ow;
-            const auto scalarSquash = [&](int iy0, float *orow, int x0,
-                                          int x1) {
-                for (int x = x0; x < x1; ++x) {
-                    const int ix0 = x * stride - pad;
-                    if (prefixSum(pk, in, iy0, ix0) <= pk.th)
-                        orow[x] = -1.0f;
-                }
-            };
+            float *plane = out.data() + o * static_cast<size_t>(oh) * rs.ow;
             for (int y = 0; y < oh; ++y) {
-                const int iy0 = y * stride - pad;
-                float *orow = row + static_cast<size_t>(y) * ow;
-                if (iy0 >= 0 && iy0 + kw <= ih && xhi > xlo) {
-                    scalarSquash(iy0, orow, 0, xlo);
-                    const float *win0 = in.data()
-                        + static_cast<size_t>(iy0) * iw
-                        + (xlo * stride - pad);
-                    kops.prefix_row(pp, win0, stride, xhi - xlo,
-                                    orow + xlo);
-                    scalarSquash(iy0, orow, xhi, ow);
-                } else {
-                    scalarSquash(iy0, orow, 0, ow);
-                }
+                float *orow = plane + static_cast<size_t>(y) * rs.ow;
+                rs.row(
+                    in, y,
+                    [&](int iy0, int x0, int x1) {
+                        for (int x = x0; x < x1; ++x) {
+                            if (prefixSum(pk, in, iy0,
+                                          x * rs.stride - rs.pad)
+                                <= pk.th)
+                                orow[x] = -1.0f;
+                        }
+                    },
+                    [&](const float *win0) {
+                        kops.prefix_row(pl.packed[o], win0, rs.stride,
+                                        rs.xhi - rs.xlo, orow + rs.xlo);
+                    });
             }
         });
 }
 
 void
-SnapeaEngine::runServing(int layer_idx, const Conv2D &conv,
-                         const Tensor &in, Tensor &out)
+SnapeaEngine::runInstrumented(int layer_idx, const PreparedLayer &pl,
+                              const Conv2D &conv, const Tensor &in,
+                              Tensor &out)
 {
-    const PreparedLayer &pl = prepared_.at(layer_idx);
     const int oh = out.dim(1), ow = out.dim(2);
-    const int ih = in.dim(1), iw = in.dim(2);
-    const int stride = conv.spec().stride, pad = conv.spec().pad;
-    const int kw = conv.spec().kernel;
-    const kernels::KernelOps &kops = kernels::kernelOps();
-    int xlo, xhi;
-    kernels::interiorXSpan(iw, kw, stride, pad, ow, &xlo, &xhi);
-
-    EngineScratch &sc = *scratch_;
-    const std::int64_t n_ch =
-        static_cast<std::int64_t>(pl.kernels.size());
-    sc.prepare(n_ch, std::max(util::threadCount(), 1), ow);
-
-    // The same honest walk as instrumented mode, reduced to what a
-    // deployed PE does: need_full=false, so a terminated window stops
-    // paying MACs right there, and no counters or samples — wall
-    // clock tracks Eq. (1) instead of the full convolution.  Kernels
-    // write disjoint output planes, so outputs are bitwise identical
-    // for any thread count, same as the other modes.
-    util::parallel_for(0, n_ch, 1, [&](std::int64_t o) {
-        const PreparedKernel &pk = pl.kernels[o];
-        const kernels::PackedKernel &pp = pl.packed[o];
-        EngineScratch::WalkRow &wr = sc.rows[util::workerIndex()];
-        const kernels::WalkSoa soa = wr.soa();
-        float *plane = out.data() + static_cast<size_t>(o) * oh * ow;
-        for (int y = 0; y < oh; ++y) {
-            const int iy0 = y * stride - pad;
-            const auto scalarWalkSpan = [&](int x0, int x1) {
-                for (int x = x0; x < x1; ++x) {
-                    const int ix0 = x * stride - pad;
-                    const WindowWalk ww = walkWindow(
-                        pk, in, iy0, ix0, /*need_full=*/false);
-                    soa.out[x] = ww.out;
-                }
-            };
-            if (iy0 >= 0 && iy0 + kw <= ih && xhi > xlo) {
-                scalarWalkSpan(0, xlo);
-                const float *win0 = in.data()
-                    + static_cast<size_t>(iy0) * iw
-                    + (xlo * stride - pad);
-                const kernels::WalkSoa span = {
-                    soa.out + xlo, soa.full + xlo, soa.ops + xlo,
-                    soa.flags + xlo};
-                kops.walk_row(pp, win0, stride, xhi - xlo,
-                              /*need_full=*/false, span);
-                scalarWalkSpan(xhi, ow);
-            } else {
-                scalarWalkSpan(0, ow);
-            }
-            float *orow = plane + static_cast<size_t>(y) * ow;
-            for (int x = 0; x < ow; ++x)
-                orow[x] = soa.out[x];
-        }
-    });
-}
-
-void
-SnapeaEngine::runInstrumented(int layer_idx, const Conv2D &conv,
-                              const Tensor &in, Tensor &out)
-{
-    const PreparedLayer &pl = prepared_.at(layer_idx);
-    const int oh = out.dim(1), ow = out.dim(2);
-    const int stride = conv.spec().stride, pad = conv.spec().pad;
     const int ks = conv.kernelSize();
 
     LayerExecStats &st = stats_[layer_idx];
@@ -512,141 +550,79 @@ SnapeaEngine::runInstrumented(int layer_idx, const Conv2D &conv,
                           * oh * ow);
     }
 
-    const int ih = in.dim(1), iw = in.dim(2);
-    const int kw = conv.spec().kernel;
-    const kernels::KernelOps &kops = kernels::kernelOps();
-    int xlo, xhi;
-    kernels::interiorXSpan(iw, kw, stride, pad, ow, &xlo, &xhi);
-
-    // Reusable scratch (hoisted; see EngineScratch).  Instrumented
-    // images run one at a time, so resizing here is safe; the row
-    // buffers are per worker because kernels walk in parallel.
-    EngineScratch &sc = *scratch_;
-    const std::int64_t n_ch =
-        static_cast<std::int64_t>(pl.kernels.size());
-    sc.prepare(n_ch, std::max(util::threadCount(), 1), ow);
-
     // Kernels walk in parallel into per-kernel partials which are
     // merged below on this thread in kernel order.  Every partial
     // depends only on its own kernel's windows and the merge order
-    // is fixed, so outputs, counters, fn_values, and the positive
-    // sample are bitwise identical for any thread count (including
-    // the serial path, which runs the very same code).  Each row is
-    // walked into SoA scratch — interior spans by the SIMD walk
-    // kernel (one window per lane, termination via vector masks),
-    // border windows by the scalar walkWindow — then consumed into
-    // outputs and statistics in (y, x) order.
-    util::parallel_for(0, n_ch, 1, [&](std::int64_t o) {
-        EngineScratch::ChannelPartial &p = sc.parts[o];
-        const PreparedKernel &pk = pl.kernels[o];
-        const kernels::PackedKernel &pp = pl.packed[o];
-        EngineScratch::WalkRow &wr = sc.rows[util::workerIndex()];
-        const kernels::WalkSoa soa = wr.soa();
-        uint16_t *trace_ops = trace
-            ? trace->ops.data() + static_cast<size_t>(o) * oh * ow
-            : nullptr;
-        float *plane = out.data() + static_cast<size_t>(o) * oh * ow;
-        size_t widx = 0;
-        for (int y = 0; y < oh; ++y) {
-            const int iy0 = y * stride - pad;
+    // is fixed, so counters, fn_values, and the positive sample are
+    // bitwise identical for any thread count (including the serial
+    // path, which runs the very same code).
+    const std::int64_t n_ch =
+        static_cast<std::int64_t>(pl.kernels.size());
+    std::vector<EngineScratch::ChannelPartial> &parts = scratch_->parts;
+    parts.resize(n_ch);
+    for (EngineScratch::ChannelPartial &p : parts)
+        p.reset();
 
-            const auto scalarWalkSpan = [&](int x0, int x1) {
-                for (int x = x0; x < x1; ++x) {
-                    const int ix0 = x * stride - pad;
-                    const WindowWalk ww = walkWindow(
-                        pk, in, iy0, ix0, /*need_full=*/true);
-                    soa.out[x] = ww.out;
-                    soa.full[x] = ww.full_sum;
-                    soa.ops[x] = ww.ops;
-                    soa.flags[x] = static_cast<uint8_t>(
-                        (ww.spec_fired ? kernels::kWalkSpecFired : 0)
-                        | (ww.sign_fired ? kernels::kWalkSignFired : 0)
-                        | (ww.full_known ? kernels::kWalkFullKnown
-                                         : 0));
-                }
-            };
+    walk(pl, conv, in, out, /*need_full=*/true,
+         [&](std::int64_t o, size_t widx, const WalkedWindow &w) {
+        EngineScratch::ChannelPartial &p = parts[o];
+        const bool spec_fired = w.flags & kernels::kWalkSpecFired;
+        const bool sign_fired = w.flags & kernels::kWalkSignFired;
 
-            if (iy0 >= 0 && iy0 + kw <= ih && xhi > xlo) {
-                scalarWalkSpan(0, xlo);
-                const float *win0 = in.data()
-                    + static_cast<size_t>(iy0) * iw
-                    + (xlo * stride - pad);
-                const kernels::WalkSoa span = {
-                    soa.out + xlo, soa.full + xlo, soa.ops + xlo,
-                    soa.flags + xlo};
-                kops.walk_row(pp, win0, stride, xhi - xlo,
-                              /*need_full=*/true, span);
-                scalarWalkSpan(xhi, ow);
+        ++p.windows;
+        p.macs_performed += w.ops;
+        if (trace) {
+            trace->ops[static_cast<size_t>(o) * oh * ow + widx] =
+                static_cast<uint16_t>(std::min(w.ops, 65535));
+        }
+
+        bool actual_neg;
+        if (sign_fired) {
+            actual_neg = true;  // sign check is exact
+        } else if (spec_fired) {
+            SNAPEA_ASSERT(w.flags & kernels::kWalkFullKnown);
+            actual_neg = w.full <= 0.0f;
+        } else {
+            actual_neg = w.out <= 0.0f;
+        }
+        if (actual_neg)
+            ++p.actual_negative;
+        else
+            ++p.actual_positive;
+
+        if (spec_fired) {
+            ++p.spec_terminated;
+            if (actual_neg) {
+                ++p.true_negative;
             } else {
-                scalarWalkSpan(0, ow);
+                ++p.false_negative;
+                p.fn_values.push_back(w.full);
             }
-
-            float *orow = plane + static_cast<size_t>(y) * ow;
-            for (int x = 0; x < ow; ++x, ++widx) {
-                const int wops = soa.ops[x];
-                const uint8_t fl = soa.flags[x];
-                const bool spec_fired = fl & kernels::kWalkSpecFired;
-                const bool sign_fired = fl & kernels::kWalkSignFired;
-                orow[x] = soa.out[x];
-
-                ++p.windows;
-                p.macs_performed += wops;
-                if (trace_ops) {
-                    trace_ops[widx] = static_cast<uint16_t>(
-                        std::min(wops, 65535));
+        } else if (sign_fired) {
+            ++p.sign_terminated;
+        } else {
+            ++p.completed;
+            if (w.out > 0.0f) {
+                // Fixed-stride sample of positive magnitudes for the
+                // "errors land on small positives" statistic of
+                // Section VI-B: every kPosSampleStride-th positive of
+                // this kernel, in (y, x) order.  Unlike a count-keyed
+                // reservoir, the stride sample depends only on this
+                // kernel's own windows, so it survives the per-kernel
+                // merge unchanged.
+                if (p.pos_seen % LayerExecStats::kPosSampleStride == 0
+                    && p.pos_sample.size()
+                           < LayerExecStats::kPosSampleCap) {
+                    p.pos_sample.push_back(w.out);
                 }
-
-                bool actual_neg;
-                if (sign_fired) {
-                    actual_neg = true;  // sign check is exact
-                } else if (spec_fired) {
-                    SNAPEA_ASSERT(fl & kernels::kWalkFullKnown);
-                    actual_neg = soa.full[x] <= 0.0f;
-                } else {
-                    actual_neg = soa.out[x] <= 0.0f;
-                }
-                if (actual_neg)
-                    ++p.actual_negative;
-                else
-                    ++p.actual_positive;
-
-                if (spec_fired) {
-                    ++p.spec_terminated;
-                    if (actual_neg) {
-                        ++p.true_negative;
-                    } else {
-                        ++p.false_negative;
-                        p.fn_values.push_back(soa.full[x]);
-                    }
-                } else if (sign_fired) {
-                    ++p.sign_terminated;
-                } else {
-                    ++p.completed;
-                    if (soa.out[x] > 0.0f) {
-                        // Fixed-stride sample of positive magnitudes
-                        // for the "errors land on small positives"
-                        // statistic of Section VI-B: every
-                        // kPosSampleStride-th positive of this
-                        // kernel, in (y, x) order.  Unlike a count-
-                        // keyed reservoir, the stride sample depends
-                        // only on this kernel's own windows, so it
-                        // survives the per-kernel merge unchanged.
-                        if (p.pos_seen % LayerExecStats::kPosSampleStride
-                                == 0
-                            && p.pos_sample.size()
-                                   < LayerExecStats::kPosSampleCap) {
-                            p.pos_sample.push_back(soa.out[x]);
-                        }
-                        ++p.pos_seen;
-                    }
-                }
+                ++p.pos_seen;
             }
         }
     });
 
     size_t macs_performed = 0;
     for (std::int64_t o = 0; o < n_ch; ++o) {
-        const EngineScratch::ChannelPartial &p = sc.parts[o];
+        const EngineScratch::ChannelPartial &p = parts[o];
         st.windows += p.windows;
         st.macs_full += p.windows * static_cast<size_t>(ks);
         st.macs_performed += p.macs_performed;

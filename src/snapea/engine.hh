@@ -4,26 +4,28 @@
  * with reordered weights, early termination, and the Predictive
  * Activation Unit's checks (Sections II-B and V).
  *
- * Two modes exist because the two consumers need different costs:
+ * Three modes exist because the consumers need different costs:
  *
  *  - Fast: outputs only.  The plain convolution is computed and
  *    speculatively-negative windows are squashed using just their
  *    prefix partial sums.  This is what Algorithm 1's Simulate()
  *    runs thousands of times.
- *  - Instrumented: the honest reordered walk per window, producing
- *    Eq. (1) op counts for the cycle simulator plus the true/false
- *    negative statistics of Table V.
+ *  - Serving: outputs via the honest early-terminating walk, nothing
+ *    else recorded (what snapea_serve runs).
+ *  - Instrumented: the same walk, also producing Eq. (1) op counts
+ *    for the cycle simulator plus the true/false negative statistics
+ *    of Table V.  Serving and Instrumented outputs are bitwise equal.
  *
- * Both modes produce identical zeroing decisions (the prefix sums are
- * accumulated in the same order); completed windows may differ in the
- * last float ulp because accumulation order differs.
+ * All modes produce identical zeroing decisions (the prefix sums are
+ * accumulated in the same order); completed windows of Fast may
+ * differ from the walk's in the last float ulp because accumulation
+ * order differs.
  *
- * Both modes run on the SIMD row kernels of snapea/kernels/ for
+ * Every mode runs on the SIMD row kernels of snapea/kernels/ for
  * windows away from the input borders (several windows per lane-
  * register, early termination via vector masks) and on the scalar
  * walkWindow/prefixSum paths for border windows; per-window
- * arithmetic is bitwise identical either way in default mode (see
- * kernels.hh for the SNAPEA_RELAXED_ACCUM contract).
+ * arithmetic is bitwise identical either way (see kernels.hh).
  *
  * Thread-safety: Fast mode is re-entrant (the evaluator drives one
  * engine from its parallel image loop); Instrumented and Serving
@@ -238,12 +240,24 @@ class SnapeaEngine : public ConvOverride
         bool any_predictive = false;
     };
 
-    void runFast(int layer_idx, const Conv2D &conv, const Tensor &in,
-                 Tensor &out);
-    void runServing(int layer_idx, const Conv2D &conv,
-                    const Tensor &in, Tensor &out);
-    void runInstrumented(int layer_idx, const Conv2D &conv,
-                         const Tensor &in, Tensor &out);
+    /** Dense convolution, then the prefix squash (Fast mode). */
+    void runFast(const PreparedLayer &pl, const Conv2D &conv,
+                 const Tensor &in, Tensor &out);
+
+    /**
+     * The honest walk of every window of a layer (Serving and
+     * Instrumented): outputs land in @p out, and each window's
+     * result goes to @p sink(kernel, window index, WalkedWindow).
+     */
+    template <class Sink>
+    void walk(const PreparedLayer &pl, const Conv2D &conv,
+              const Tensor &in, Tensor &out, bool need_full,
+              Sink &&sink);
+
+    /** The walk plus Table V counters and op traces. */
+    void runInstrumented(int layer_idx, const PreparedLayer &pl,
+                         const Conv2D &conv, const Tensor &in,
+                         Tensor &out);
 
     const Network &net_;
     NetworkPlan plan_;
@@ -252,7 +266,7 @@ class SnapeaEngine : public ConvOverride
     bool collect_traces_ = false;
     std::map<int, LayerExecStats> stats_;
     std::vector<ImageTrace> traces_;
-    /** Reusable instrumented-mode buffers (see engine.cc). */
+    /** Reusable walk buffers (see engine.cc). */
     std::unique_ptr<EngineScratch> scratch_;
 };
 

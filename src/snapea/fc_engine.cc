@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "snapea/kernels/kernels.hh"
 #include "util/logging.hh"
 
 namespace snapea {
@@ -49,13 +48,6 @@ runFcExact(const FullyConnected &fc, const FcLayerPlan &plan,
     const float *x = in.data();
     const int n_in = fc.inFeatures();
 
-    // The relaxed-accumulation mode splits the checkless positive
-    // run over four accumulators (summed in fixed order afterwards),
-    // which breaks bitwise equality with the strict serial order but
-    // cuts the dependency chain; decisions stay exact because the
-    // sign checks only ever run in the strictly serial negative run.
-    const bool relaxed = kernels::relaxedAccum();
-
     for (int o = 0; o < fc.outFeatures(); ++o) {
         const FcNeuronPlan &np = plan.neurons[o];
         SNAPEA_ASSERT(np.w.size() == np.order.size());
@@ -64,20 +56,7 @@ runFcExact(const FullyConnected &fc, const FcLayerPlan &plan,
         float psum = fc.bias()[o];
         int ops = 0;
         bool terminated = false;
-        int i = 0;
-        if (relaxed && np.neg_start >= 8) {
-            float acc[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-            const int n4 = np.neg_start - np.neg_start % 4;
-            for (; i < n4; i += 4) {
-                acc[0] += w[i] * x[ord[i]];
-                acc[1] += w[i + 1] * x[ord[i + 1]];
-                acc[2] += w[i + 2] * x[ord[i + 2]];
-                acc[3] += w[i + 3] * x[ord[i + 3]];
-            }
-            psum += ((acc[0] + acc[1]) + (acc[2] + acc[3]));
-            ops += n4;
-        }
-        for (; i < n_in; ++i) {
+        for (int i = 0; i < n_in; ++i) {
             psum += w[i] * x[ord[i]];
             ++ops;
             if (i >= np.neg_start && psum < 0.0f) {

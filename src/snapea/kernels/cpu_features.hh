@@ -16,9 +16,7 @@ namespace snapea::kernels {
 /** What the host CPU offers; values are best-effort with fallbacks. */
 struct CpuInfo
 {
-    bool has_sse2 = false;
     bool has_avx2 = false;
-    bool has_fma = false;
     size_t l1d_bytes = 0;       ///< L1 data cache capacity.
     size_t l2_bytes = 0;        ///< L2 cache capacity.
     int hardware_threads = 1;   ///< Online logical processors.

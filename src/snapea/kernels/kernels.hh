@@ -19,16 +19,16 @@
  *
  * Determinism contract: every lane accumulates its window's taps in
  * exactly the plan order with separate mul and add (the tree builds
- * with -ffp-contract=off), so scalar and SIMD variants are bitwise
- * identical per window, and Fast/Instrumented squashing decisions
- * agree exactly.  Setting SNAPEA_RELAXED_ACCUM=1 lets variants with
- * fused multiply-add use it (faster, differently rounded); outputs
- * then agree with the scalar reference only to tolerance.
+ * with -ffp-contract=off, and no kernel uses fused multiply-add), so
+ * scalar and SIMD variants are bitwise identical per window, and
+ * Fast/Serving/Instrumented squashing decisions agree exactly.
  *
- * Variants are selected at runtime by CPUID dispatch (kernelOps());
- * the SNAPEA_SIMD environment variable (auto|scalar|sse2|avx2)
- * overrides downward, falling back with a warning when the request
- * is not compiled in or not supported by the CPU.
+ * Two variants exist: the portable scalar reference (the only one on
+ * non-x86 hosts) and AVX2.  kernelOps() picks AVX2 when it is
+ * compiled in and CPUID reports it; the SNAPEA_SIMD environment
+ * variable (auto|scalar|avx2) overrides downward, falling back with
+ * a warning when the request is not compiled in or not supported by
+ * the CPU.
  */
 
 #ifndef SNAPEA_SNAPEA_KERNELS_KERNELS_HH
@@ -43,11 +43,10 @@ namespace snapea::kernels {
 /** Instruction-set tiers a kernel variant can target. */
 enum class Isa {
     Scalar = 0,  ///< Portable reference kernels.
-    Sse2 = 1,    ///< 4 windows per 128-bit register.
-    Avx2 = 2,    ///< 8 windows per 256-bit register.
+    Avx2 = 1,    ///< 8 windows per 256-bit register.
 };
 
-/** Human-readable ISA name ("scalar", "sse2", "avx2"). */
+/** Human-readable ISA name ("scalar", "avx2"). */
 const char *isaName(Isa isa);
 
 /**
@@ -218,13 +217,6 @@ interiorXSpan(int iw, int kernel_w, int stride, int pad, int ow,
     *xlo = lo;
     *xhi = std::max(std::min(hi, ow), lo);
 }
-
-/**
- * True when SNAPEA_RELAXED_ACCUM=1: kernels may use fused
- * multiply-add and other reassociations, trading bitwise scalar
- * equivalence for speed.  Read once at first kernel dispatch.
- */
-bool relaxedAccum();
 
 } // namespace snapea::kernels
 

@@ -4,14 +4,13 @@
  * per window (the vector analogue of the paper's multi-lane PE).
  * Each lane accumulates its window's taps in plan order with
  * separate mul and add, so results are bitwise identical to the
- * scalar reference; the relaxed variants (SNAPEA_RELAXED_ACCUM)
- * substitute fused multiply-add.  Ragged `n % 8` row tails use
- * masked loads/gathers/stores for the dense and prefix kernels and
- * the scalar reference for the walk kernel.
+ * scalar reference.  Ragged `n % 8` row tails use masked loads/
+ * gathers/stores for the dense and prefix kernels and the scalar
+ * reference for the walk kernel.
  *
- * This TU is compiled with -mavx2 -mfma (see src/snapea/
- * CMakeLists.txt) and only ever called after runtime CPUID dispatch
- * confirms the CPU supports AVX2 (+FMA for the relaxed variants).
+ * This TU is compiled with -mavx2 (see src/snapea/CMakeLists.txt)
+ * and only ever called after runtime CPUID dispatch confirms the CPU
+ * supports AVX2.
  */
 
 #include <immintrin.h>
@@ -68,18 +67,14 @@ load8Masked(const float *p, __m256i vlx, __m256i mask)
                                         _mm256_castsi256_ps(mask), 4);
 }
 
-/** acc + w*x, either strictly ordered or contracted (relaxed mode). */
-template <bool R>
+/** acc + w*x with separate mul and add (the scalar rounding). */
 inline __m256
 mad(__m256 acc, __m256 vw, __m256 vx)
 {
-    if constexpr (R)
-        return _mm256_fmadd_ps(vw, vx, acc);
-    else
-        return _mm256_add_ps(acc, _mm256_mul_ps(vw, vx));
+    return _mm256_add_ps(acc, _mm256_mul_ps(vw, vx));
 }
 
-template <bool S1, bool R>
+template <bool S1>
 void
 convRow(const float *win0, int stride, int n, const float *w,
         const int32_t *off, int ntaps, int panel, float bias,
@@ -104,7 +99,7 @@ convRow(const float *win0, int stride, int n, const float *w,
             for (int t = t0; t < t1; ++t) {
                 const __m256 vw = _mm256_set1_ps(w[t]);
                 const __m256 vx = load8<S1>(base + off[t], vlx);
-                acc = mad<R>(acc, vw, vx);
+                acc = mad(acc, vw, vx);
             }
             _mm256_storeu_ps(out + x, acc);
         }
@@ -115,14 +110,14 @@ convRow(const float *win0, int stride, int n, const float *w,
                 const __m256 vw = _mm256_set1_ps(w[t]);
                 const __m256 vx =
                     load8Masked<S1>(base + off[t], vlx, tmask);
-                acc = mad<R>(acc, vw, vx);
+                acc = mad(acc, vw, vx);
             }
             _mm256_maskstore_ps(out + nv, tmask, acc);
         }
     }
 }
 
-template <bool S1, bool R>
+template <bool S1>
 void
 prefixRow(const PackedKernel &pk, const float *win0, int stride, int n,
           float *out)
@@ -142,7 +137,7 @@ prefixRow(const PackedKernel &pk, const float *win0, int stride, int n,
         for (int t = 0; t < pk.prefix_len; ++t) {
             const __m256 vw = _mm256_set1_ps(w[t]);
             const __m256 vx = load8<S1>(base + off[t], vlx);
-            acc = mad<R>(acc, vw, vx);
+            acc = mad(acc, vw, vx);
         }
         // psum <= th  =>  squash to the PE's negative surrogate.
         const __m256 squash = _mm256_cmp_ps(acc, vth, _CMP_LE_OQ);
@@ -157,7 +152,7 @@ prefixRow(const PackedKernel &pk, const float *win0, int stride, int n,
         for (int t = 0; t < pk.prefix_len; ++t) {
             const __m256 vw = _mm256_set1_ps(w[t]);
             const __m256 vx = load8Masked<S1>(base + off[t], vlx, tmask);
-            acc = mad<R>(acc, vw, vx);
+            acc = mad(acc, vw, vx);
         }
         const __m256 squash = _mm256_cmp_ps(acc, vth, _CMP_LE_OQ);
         const __m256 cur = _mm256_maskload_ps(out + nv, tmask);
@@ -167,7 +162,7 @@ prefixRow(const PackedKernel &pk, const float *win0, int stride, int n,
 }
 
 /** The three-phase walk for one full tile of 8 interior windows. */
-template <bool S1, bool R>
+template <bool S1>
 void
 walkTile(const PackedKernel &pk, const float *base, __m256i vlx,
          bool need_full, const WalkSoa &res)
@@ -182,7 +177,7 @@ walkTile(const PackedKernel &pk, const float *base, __m256i vlx,
     for (int t = 0; t < pk.prefix_len; ++t) {
         const __m256 vw = _mm256_set1_ps(w[t]);
         const __m256 vx = load8<S1>(base + off[t], vlx);
-        acc = mad<R>(acc, vw, vx);
+        acc = mad(acc, vw, vx);
     }
     const __m256 spec = pk.prefix_len > 0
         ? _mm256_cmp_ps(acc, _mm256_set1_ps(pk.th), _CMP_LE_OQ)
@@ -200,7 +195,7 @@ walkTile(const PackedKernel &pk, const float *base, __m256i vlx,
         for (int j = pk.prefix_len; j < ks; ++j) {
             const __m256 vw = _mm256_set1_ps(w[j]);
             const __m256 vx = load8<S1>(base + off[j], vlx);
-            const __m256 fnew = mad<R>(full, vw, vx);
+            const __m256 fnew = mad(full, vw, vx);
             full = _mm256_blendv_ps(fnew, full, settled);
             if (j >= pk.neg_start) {
                 const __m256 neg =
@@ -227,12 +222,12 @@ walkTile(const PackedKernel &pk, const float *base, __m256i vlx,
         for (int t = pk.prefix_len; t < pk.neg_start; ++t) {
             const __m256 vw = _mm256_set1_ps(w[t]);
             const __m256 vx = load8<S1>(base + off[t], vlx);
-            acc2 = mad<R>(acc2, vw, vx);
+            acc2 = mad(acc2, vw, vx);
         }
         for (int t = pk.neg_start; t < ks; ++t) {
             const __m256 vw = _mm256_set1_ps(w[t]);
             const __m256 vx = load8<S1>(base + off[t], vlx);
-            const __m256 anew = mad<R>(acc2, vw, vx);
+            const __m256 anew = mad(acc2, vw, vx);
             acc2 = _mm256_blendv_ps(anew, acc2, sign);
             const __m256 isneg =
                 _mm256_cmp_ps(acc2, vzero, _CMP_LT_OQ);
@@ -274,7 +269,7 @@ walkTile(const PackedKernel &pk, const float *base, __m256i vlx,
     }
 }
 
-template <bool S1, bool R>
+template <bool S1>
 void
 walkRow(const PackedKernel &pk, const float *win0, int stride, int n,
         bool need_full, const WalkSoa &res)
@@ -284,7 +279,7 @@ walkRow(const PackedKernel &pk, const float *win0, int stride, int n,
     for (; x + kLanes <= n; x += kLanes) {
         const WalkSoa tile = {res.out + x, res.full + x, res.ops + x,
                               res.flags + x};
-        walkTile<S1, R>(pk, win0 + static_cast<size_t>(x) * stride,
+        walkTile<S1>(pk, win0 + static_cast<size_t>(x) * stride,
                         vlx, need_full, tile);
     }
     if (x < n) {
@@ -295,7 +290,6 @@ walkRow(const PackedKernel &pk, const float *win0, int stride, int n,
     }
 }
 
-template <bool R>
 void
 convChan(const float *wt, const float *bias8,
          const float *const *bases, int nwin, const int32_t *off,
@@ -314,10 +308,10 @@ convChan(const float *wt, const float *bias8,
             const __m256 vw =
                 _mm256_loadu_ps(wt + (idx ? idx[j] : j) * 8);
             const int32_t o = off[j];
-            a0 = mad<R>(a0, vw, _mm256_broadcast_ss(b0 + o));
-            a1 = mad<R>(a1, vw, _mm256_broadcast_ss(b1 + o));
-            a2 = mad<R>(a2, vw, _mm256_broadcast_ss(b2 + o));
-            a3 = mad<R>(a3, vw, _mm256_broadcast_ss(b3 + o));
+            a0 = mad(a0, vw, _mm256_broadcast_ss(b0 + o));
+            a1 = mad(a1, vw, _mm256_broadcast_ss(b1 + o));
+            a2 = mad(a2, vw, _mm256_broadcast_ss(b2 + o));
+            a3 = mad(a3, vw, _mm256_broadcast_ss(b3 + o));
         }
         _mm256_storeu_ps(out8s + w * 8, a0);
         _mm256_storeu_ps(out8s + (w + 1) * 8, a1);
@@ -330,24 +324,19 @@ convChan(const float *wt, const float *bias8,
         for (int j = 0; j < ntaps; ++j) {
             const __m256 vw =
                 _mm256_loadu_ps(wt + (idx ? idx[j] : j) * 8);
-            acc = mad<R>(acc, vw, _mm256_broadcast_ss(base + off[j]));
+            acc = mad(acc, vw, _mm256_broadcast_ss(base + off[j]));
         }
         _mm256_storeu_ps(out8s + w * 8, acc);
     }
 }
 
-/** Double-precision acc + w*x (strict or contracted). */
-template <bool R>
+/** Double-precision acc + w*x with separate mul and add. */
 inline __m256d
 madPd(__m256d acc, __m256d vw, __m256d vx)
 {
-    if constexpr (R)
-        return _mm256_fmadd_pd(vw, vx, acc);
-    else
-        return _mm256_add_pd(acc, _mm256_mul_pd(vw, vx));
+    return _mm256_add_pd(acc, _mm256_mul_pd(vw, vx));
 }
 
-template <bool R>
 void
 denseRows(const float *w, const float *x, const float *bias, int n_in,
           int n_out, float *out)
@@ -361,12 +350,11 @@ denseRows(const float *w, const float *x, const float *bias, int n_in,
         __m256d acch = _mm256_setzero_pd();
         int i = 0;
         for (; i < n8; i += 8) {
-            accl = madPd<R>(accl,
-                            _mm256_cvtps_pd(_mm_loadu_ps(wr + i)),
-                            _mm256_cvtps_pd(_mm_loadu_ps(x + i)));
-            acch = madPd<R>(acch,
-                            _mm256_cvtps_pd(_mm_loadu_ps(wr + i + 4)),
-                            _mm256_cvtps_pd(_mm_loadu_ps(x + i + 4)));
+            accl = madPd(accl, _mm256_cvtps_pd(_mm_loadu_ps(wr + i)),
+                         _mm256_cvtps_pd(_mm_loadu_ps(x + i)));
+            acch = madPd(acch,
+                         _mm256_cvtps_pd(_mm_loadu_ps(wr + i + 4)),
+                         _mm256_cvtps_pd(_mm_loadu_ps(x + i + 4)));
         }
         double a[8];
         _mm256_storeu_pd(a, accl);
@@ -381,58 +369,48 @@ denseRows(const float *w, const float *x, const float *bias, int n_in,
 }
 
 /** Stride-dispatching wrappers (unit stride loads, else gathers). */
-template <bool R>
 void
 convRowDispatch(const float *win0, int stride, int n, const float *w,
                 const int32_t *off, int ntaps, int panel, float bias,
                 float *out)
 {
     if (stride == 1)
-        convRow<true, R>(win0, stride, n, w, off, ntaps, panel, bias,
-                         out);
+        convRow<true>(win0, stride, n, w, off, ntaps, panel, bias, out);
     else
-        convRow<false, R>(win0, stride, n, w, off, ntaps, panel, bias,
-                          out);
+        convRow<false>(win0, stride, n, w, off, ntaps, panel, bias, out);
 }
 
-template <bool R>
 void
 prefixRowDispatch(const PackedKernel &pk, const float *win0,
                   int stride, int n, float *out)
 {
     if (stride == 1)
-        prefixRow<true, R>(pk, win0, stride, n, out);
+        prefixRow<true>(pk, win0, stride, n, out);
     else
-        prefixRow<false, R>(pk, win0, stride, n, out);
+        prefixRow<false>(pk, win0, stride, n, out);
 }
 
-template <bool R>
 void
 walkRowDispatch(const PackedKernel &pk, const float *win0, int stride,
                 int n, bool need_full, const WalkSoa &res)
 {
     if (stride == 1)
-        walkRow<true, R>(pk, win0, stride, n, need_full, res);
+        walkRow<true>(pk, win0, stride, n, need_full, res);
     else
-        walkRow<false, R>(pk, win0, stride, n, need_full, res);
+        walkRow<false>(pk, win0, stride, n, need_full, res);
 }
 
 } // namespace
 
 const KernelOps &
-avx2KernelOps(bool relaxed)
+avx2KernelOps()
 {
-    static const KernelOps strict = {
+    static const KernelOps ops = {
         "avx2", Isa::Avx2, kLanes,
-        &convRowDispatch<false>, &prefixRowDispatch<false>,
-        &walkRowDispatch<false>, &denseRows<false>, &convChan<false>,
+        &convRowDispatch, &prefixRowDispatch, &walkRowDispatch,
+        &denseRows, &convChan,
     };
-    static const KernelOps fma = {
-        "avx2+fma", Isa::Avx2, kLanes,
-        &convRowDispatch<true>, &prefixRowDispatch<true>,
-        &walkRowDispatch<true>, &denseRows<true>, &convChan<true>,
-    };
-    return relaxed ? fma : strict;
+    return ops;
 }
 
 } // namespace snapea::kernels

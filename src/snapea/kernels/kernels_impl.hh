@@ -4,9 +4,9 @@
  * functions so the SIMD translation units can reuse them for ragged
  * row tails their registers cannot cover.  Semantics per window are
  * the module's ground truth: the vector kernels must match these
- * bitwise in default (non-relaxed) mode, and these in turn replicate
- * engine.cc's walkWindow/prefixSum interior arithmetic exactly
- * (bias first, taps in plan order, separate mul and add).
+ * bitwise, and these in turn replicate engine.cc's walkWindow/
+ * prefixSum interior arithmetic exactly (bias first, taps in plan
+ * order, separate mul and add).
  */
 
 #ifndef SNAPEA_SNAPEA_KERNELS_KERNELS_IMPL_HH

@@ -20,13 +20,10 @@
 namespace snapea::kernels {
 
 // Variant tables, one per compiled TU (see src/snapea/CMakeLists.txt
-// for which are built; SNAPEA_KERNELS_* mirror the CMake options).
+// for which are built; SNAPEA_KERNELS_AVX2 mirrors the CMake option).
 const KernelOps &scalarKernelOps();
-#if SNAPEA_KERNELS_SSE2
-const KernelOps &sse2KernelOps();
-#endif
 #if SNAPEA_KERNELS_AVX2
-const KernelOps &avx2KernelOps(bool relaxed);
+const KernelOps &avx2KernelOps();
 #endif
 
 namespace {
@@ -35,52 +32,27 @@ namespace {
 bool
 isaUsable(Isa isa)
 {
-    const CpuInfo &cpu = cpuInfo();
-    switch (isa) {
-    case Isa::Scalar:
-        return true;
-    case Isa::Sse2:
-#if SNAPEA_KERNELS_SSE2
-        return cpu.has_sse2;
-#else
-        return false;
-#endif
-    case Isa::Avx2:
 #if SNAPEA_KERNELS_AVX2
-        // The relaxed variants use FMA; AVX2 CPUs without FMA are
-        // essentially nonexistent, but gate on it anyway.
-        return cpu.has_avx2 && (!relaxedAccum() || cpu.has_fma);
-#else
-        return false;
+    if (isa == Isa::Avx2)
+        return cpuInfo().has_avx2;
 #endif
-    }
-    return false;
+    return isa == Isa::Scalar;
 }
 
 const KernelOps &
-opsTable(Isa isa)
+opsTable([[maybe_unused]] Isa isa)
 {
-    switch (isa) {
-#if SNAPEA_KERNELS_SSE2
-    case Isa::Sse2:
-        return sse2KernelOps();
-#endif
 #if SNAPEA_KERNELS_AVX2
-    case Isa::Avx2:
-        return avx2KernelOps(relaxedAccum());
+    if (isa == Isa::Avx2)
+        return avx2KernelOps();
 #endif
-    default:
-        return scalarKernelOps();
-    }
+    return scalarKernelOps();
 }
 
 Isa
 bestUsable()
 {
-    for (Isa isa : {Isa::Avx2, Isa::Sse2})
-        if (isaUsable(isa))
-            return isa;
-    return Isa::Scalar;
+    return isaUsable(Isa::Avx2) ? Isa::Avx2 : Isa::Scalar;
 }
 
 /** Resolve the SNAPEA_SIMD override against what is usable. */
@@ -93,12 +65,10 @@ initialIsa()
     Isa want;
     if (!std::strcmp(env, "scalar"))
         want = Isa::Scalar;
-    else if (!std::strcmp(env, "sse2"))
-        want = Isa::Sse2;
     else if (!std::strcmp(env, "avx2"))
         want = Isa::Avx2;
     else {
-        warn("SNAPEA_SIMD=%s is not auto|scalar|sse2|avx2; "
+        warn("SNAPEA_SIMD=%s is not auto|scalar|avx2; "
              "using auto dispatch", env);
         return bestUsable();
     }
@@ -127,22 +97,10 @@ isaName(Isa isa)
     switch (isa) {
     case Isa::Scalar:
         return "scalar";
-    case Isa::Sse2:
-        return "sse2";
     case Isa::Avx2:
         return "avx2";
     }
     return "?";
-}
-
-bool
-relaxedAccum()
-{
-    static const bool relaxed = [] {
-        const char *env = std::getenv("SNAPEA_RELAXED_ACCUM");
-        return env && *env && std::strcmp(env, "0") != 0;
-    }();
-    return relaxed;
 }
 
 const KernelOps &
@@ -161,7 +119,7 @@ std::vector<Isa>
 availableIsas()
 {
     std::vector<Isa> out;
-    for (Isa isa : {Isa::Scalar, Isa::Sse2, Isa::Avx2})
+    for (Isa isa : {Isa::Scalar, Isa::Avx2})
         if (isaUsable(isa))
             out.push_back(isa);
     return out;

@@ -498,6 +498,50 @@ TEST(Serve, FloodIsRejectedNotQueuedAndEveryReplyIsExactBits)
     EXPECT_EQ(st.admittedTotal() + st.rejectedTotal(), kRequests);
 }
 
+TEST(Serve, InProcessPredictiveRepliesAreShadowAudited)
+{
+    // The in-process flood again, with every predictive Ok reply
+    // sampled: the shadow audit must see the in-process path too.
+    ServerConfig cfg;
+    cfg.queue_capacity = 8;
+    cfg.workers = 1;
+    cfg.batch_max = 2;
+    cfg.audit_rate = 1;
+    StatusOr<std::unique_ptr<Server>> server = Server::start(cfg);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    StatusOr<ServeClient> client =
+        ServeClient::connect("", server.value()->port());
+    ASSERT_TRUE(client.ok()) << client.status().toString();
+
+    constexpr uint64_t kRequests = 80;
+    for (uint64_t id = 1; id <= kRequests; ++id) {
+        ASSERT_TRUE(client.value()
+                        .sendInfer(id, cold().input.data(),
+                                   cold().input.size())
+                        .ok());
+    }
+    client.value().finishSending();
+
+    size_t predictive_ok = 0;
+    for (;;) {
+        StatusOr<Reply> r = client.value().readReply();
+        if (!r.ok())
+            break;
+        if (r.value().status == WireStatus::Ok
+            && r.value().level
+                   == static_cast<int>(ServeLevel::Predictive))
+            ++predictive_ok;
+    }
+    // Joins the audit thread, so every sampled reply is accounted.
+    server.value()->drainAndJoin();
+    const ServeStats &st = server.value()->stats();
+    if (predictive_ok > 0) {
+        EXPECT_GE(st.auditSamplesTotal() + st.auditDroppedTotal(), 1u)
+            << predictive_ok << " predictive Ok replies";
+    }
+}
+
 TEST(Serve, StaleBacklogIsShedAtTheDeadline)
 {
     ServerConfig cfg;

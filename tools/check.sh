@@ -1,8 +1,9 @@
 #!/bin/sh
 # tools/check.sh — the one-shot static-analysis and invariant gate.
 #
-# From a clean checkout this configures and builds the tree twice and
-# runs three layers of checking:
+# From a clean checkout this configures and builds the tree twice
+# (plus the scalar-only kernel library) and runs these layers of
+# checking:
 #
 #   1. -Werror build against the hardened warning set
 #      (SNAPEA_WERROR=ON; -Wshadow -Wnon-virtual-dtor -Wextra-semi
@@ -23,12 +24,16 @@
 #      once under the default CPUID dispatch and once with
 #      SNAPEA_SIMD=scalar forced, proving the dispatch override and
 #      the bitwise-equivalence contract both hold on this machine.
-#   5. A serving smoke: snapea_serve boots with an injected sporadic
+#   5. The scalar-only kernel configuration (-DSNAPEA_SIMD=scalar,
+#      the only one a non-x86 host gets) builds snapea_kernels
+#      warning-free, and a retired SNAPEA_SIMD value (sse2) is
+#      rejected at configure time.
+#   6. A serving smoke: snapea_serve boots with an injected sporadic
 #      stall (slow:task in the worker processes, under a tight
 #      watchdog), bench_serving drives closed-loop traffic at it for
 #      a couple of seconds asserting every reply is well-formed, and
 #      SIGTERM must produce a clean drain (exit 0, lock released).
-#   6. A crash-isolation smoke: the daemon boots its supervised
+#   7. A crash-isolation smoke: the daemon boots its supervised
 #      worker-process pool with --worker-fault crash:worker:3 (every
 #      worker dies on its 3rd request, cycling SIGSEGV/SIGABRT/
 #      _exit), the smoke client pounds it, and the daemon itself must
@@ -51,7 +56,7 @@
 #                  one gate invocation).  The checked step keeps its
 #                  own `checked` label.
 #   build-dir-prefix  defaults to "build-gate"; the script uses
-#                  <prefix> and <prefix>-checked.
+#                  <prefix>, <prefix>-scalar and <prefix>-checked.
 #
 # Each ctest invocation runs under a watchdog (timeout(1), when
 # present) so a hung test cannot wedge the gate; SNAPEA_CHECK_TIMEOUT
@@ -160,14 +165,14 @@ if [ "$LIST_ALLOWS" -eq 1 ]; then
          --list-allows
 fi
 
-step "[1/8] configure + build, hardened warnings as errors"
+step "[1/9] configure + build, hardened warnings as errors"
 cmake -B "$ROOT/$PREFIX" -S "$ROOT" \
       -DSNAPEA_WERROR=ON -DSNAPEA_LINT=ON \
     || fail "configure ($PREFIX)"
 cmake --build "$ROOT/$PREFIX" -j "$JOBS" \
     || fail "-Werror build (warnings present or compile error)"
 
-step "[2/8] snapea_analyze over src/ tools/ bench/ tests/ + allow() baseline"
+step "[2/9] snapea_analyze over src/ tools/ bench/ tests/ + allow() baseline"
 "$ROOT/$PREFIX/tools/snapea_analyze" --root "$ROOT" \
     || fail "snapea_analyze found violations"
 # Gate the escape hatches: every allow() site must already be in the
@@ -193,17 +198,17 @@ fi
 rm -f "$ALLOWS_NOW"
 
 if [ -n "$LABELS" ]; then
-    step "[3/8] test suite, labels matching '$LABELS'"
+    step "[3/9] test suite, labels matching '$LABELS'"
     run_ctest --test-dir "$ROOT/$PREFIX" -L "$LABELS" -j "$JOBS" \
               --output-on-failure \
         || fail "labeled test suite ($LABELS)"
 else
-    step "[3/8] default test suite"
+    step "[3/9] default test suite"
     run_ctest --test-dir "$ROOT/$PREFIX" -j "$JOBS" --output-on-failure \
         || fail "default test suite"
 fi
 
-step "[4/8] scalar-vs-SIMD kernel equality (ctest -L simd, both dispatch modes)"
+step "[4/9] scalar-vs-SIMD kernel equality (ctest -L simd, both dispatch modes)"
 run_ctest --test-dir "$ROOT/$PREFIX" -L simd --output-on-failure \
     || fail "simd equality suite (dispatched kernels diverge from scalar)"
 (
@@ -212,7 +217,24 @@ run_ctest --test-dir "$ROOT/$PREFIX" -L simd --output-on-failure \
     run_ctest --test-dir "$ROOT/$PREFIX" -L simd --output-on-failure
 ) || fail "simd equality suite under forced SNAPEA_SIMD=scalar"
 
-step "[5/8] serving smoke: daemon boot under injected stalls, loaded client, clean SIGTERM drain"
+step "[5/9] scalar-only kernels build; retired SNAPEA_SIMD values rejected"
+# -DSNAPEA_SIMD=scalar is the configuration every non-x86 host
+# builds, so it must keep compiling warning-free on its own.
+cmake -B "$ROOT/$PREFIX-scalar" -S "$ROOT" \
+      -DSNAPEA_WERROR=ON -DSNAPEA_SIMD=scalar > /dev/null \
+    || fail "configure ($PREFIX-scalar)"
+cmake --build "$ROOT/$PREFIX-scalar" --target snapea_kernels -j "$JOBS" \
+    || fail "scalar-only snapea_kernels build"
+SIMD_DIR=$(mktemp -d) || fail "mktemp for the SNAPEA_SIMD check"
+if cmake -B "$SIMD_DIR" -S "$ROOT" -DSNAPEA_SIMD=sse2 \
+        > "$SIMD_DIR/configure.log" 2>&1; then
+    fail "configure accepted the retired SNAPEA_SIMD=sse2"
+fi
+grep -q "unsupported SNAPEA_SIMD value: sse2" "$SIMD_DIR/configure.log" \
+    || fail "SNAPEA_SIMD=sse2 failed to configure without the expected error (see $SIMD_DIR/configure.log)"
+rm -rf "$SIMD_DIR"
+
+step "[6/9] serving smoke: daemon boot under injected stalls, loaded client, clean SIGTERM drain"
 SERVE_DIR=$(mktemp -d) || fail "mktemp for the serving smoke"
 # A sporadic injected stall plus a tight watchdog exercises the whole
 # degradation path (stall -> watchdog cut -> retry) while the smoke
@@ -244,7 +266,7 @@ SERVE_STATUS=$?
     || fail "snapea_serve exited $SERVE_STATUS on SIGTERM (expected a clean drain; see $SERVE_DIR/daemon.log)"
 rm -rf "$SERVE_DIR"
 
-step "[6/8] crash-isolation smoke: workers dying under load, daemon must hold and drain clean"
+step "[7/9] crash-isolation smoke: workers dying under load, daemon must hold and drain clean"
 CRASH_DIR=$(mktemp -d) || fail "mktemp for the crash smoke"
 # Every worker process dies on its 3rd request (the death manner
 # cycles SIGSEGV/SIGABRT/_exit), so the supervisor restarts workers
@@ -280,7 +302,7 @@ CRASH_STATUS=$?
     || fail "snapea_serve exited $CRASH_STATUS on SIGTERM after the crash smoke (see $CRASH_DIR/daemon.log)"
 rm -rf "$CRASH_DIR"
 
-step "[7/8] configure + build with SNAPEA_CHECK_INVARIANTS=ON${SANITIZE:+ + SNAPEA_SANITIZE=$SANITIZE}"
+step "[8/9] configure + build with SNAPEA_CHECK_INVARIANTS=ON${SANITIZE:+ + SNAPEA_SANITIZE=$SANITIZE}"
 cmake -B "$ROOT/$PREFIX-checked" -S "$ROOT" \
       -DSNAPEA_WERROR=ON -DSNAPEA_CHECK_INVARIANTS=ON \
       -DSNAPEA_SANITIZE="$SANITIZE" \
@@ -288,7 +310,7 @@ cmake -B "$ROOT/$PREFIX-checked" -S "$ROOT" \
 cmake --build "$ROOT/$PREFIX-checked" -j "$JOBS" \
     || fail "checked build"
 
-step "[8/8] full test suite under runtime invariant checks (ctest -L checked)"
+step "[9/9] full test suite under runtime invariant checks (ctest -L checked)"
 run_ctest --test-dir "$ROOT/$PREFIX-checked" -L checked -j "$JOBS" \
           --output-on-failure \
     || fail "checked test suite (an invariant fired or a test broke)"
