@@ -25,6 +25,7 @@
 #include "snapea/kernels/kernels.hh"
 #include "snapea/reorder.hh"
 #include "util/random.hh"
+#include "util/thread_pool.hh"
 #include "workload/dataset.hh"
 #include "workload/weight_init.hh"
 
@@ -619,10 +620,10 @@ TEST(KernelEngine, ScalarAndBestIsaRunsBitwiseIdentical)
 }
 
 /**
- * Serving and Instrumented run the same early-terminating walk and
- * differ only in what they record per window, so their output
- * tensors are bitwise equal for the same plan — exact and predictive
- * — under every available kernel variant.
+ * On predictive plans Serving and Instrumented run the same
+ * early-terminating walk and differ only in what they record per
+ * window, so their output tensors are bitwise equal under every
+ * available kernel variant.
  */
 TEST(KernelEngine, ServingAndInstrumentedOutputsBitwiseIdentical)
 {
@@ -630,16 +631,54 @@ TEST(KernelEngine, ServingAndInstrumentedOutputsBitwiseIdentical)
     const Network &net = *engineCtx().net;
     for (const kernels::Isa isa : kernels::availableIsas()) {
         kernels::setActiveIsa(isa);
-        for (const bool predictive : {false, true}) {
-            SCOPED_TRACE(std::string(kernels::isaName(isa))
-                         + (predictive ? " predictive" : " exact"));
-            const auto plan = [&] {
-                return predictive ? predictivePlan(net)
-                                  : makeExactNetworkPlan(net);
-            };
-            expectOutputsBitwiseEqual(
-                runEngine(ExecMode::Instrumented, plan()),
-                runEngine(ExecMode::Serving, plan()));
+        SCOPED_TRACE(kernels::isaName(isa));
+        expectOutputsBitwiseEqual(
+            runEngine(ExecMode::Instrumented, predictivePlan(net)),
+            runEngine(ExecMode::Serving, predictivePlan(net)));
+    }
+}
+
+/**
+ * After ReLU the exact sign cut is lossless, so Serving declines
+ * every layer without a speculating kernel and the exact plan runs on
+ * the plain dense kernels: its outputs are the bits of
+ * Network::forward without an override, for every kernel variant and
+ * thread count, and for signed inputs too (which the sign cut would
+ * get wrong).
+ */
+TEST(KernelEngine, ServingExactPlanIsBitwisePlainDense)
+{
+    IsaGuard guard;
+    struct ThreadGuard
+    {
+        ~ThreadGuard() { util::setThreadCount(0); }
+    } threads;
+    const Network &net = *engineCtx().net;
+
+    std::vector<Tensor> inputs = engineCtx().data.images;
+    Tensor centred(net.inputShape());
+    Rng rng(23);
+    for (size_t i = 0; i < centred.size(); ++i)
+        centred[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    inputs.push_back(std::move(centred));
+
+    for (const kernels::Isa isa : kernels::availableIsas()) {
+        kernels::setActiveIsa(isa);
+        for (const int n_threads : {1, 4}) {
+            util::setThreadCount(n_threads);
+            SCOPED_TRACE(std::string(kernels::isaName(isa)) + ", "
+                         + std::to_string(n_threads) + " threads");
+            SnapeaEngine engine(net, makeExactNetworkPlan(net));
+            engine.setMode(ExecMode::Serving);
+            for (size_t i = 0; i < inputs.size(); ++i) {
+                const Tensor ref = net.forward(inputs[i], nullptr);
+                const Tensor got = net.forward(inputs[i], &engine);
+                ASSERT_EQ(ref.shape(), got.shape());
+                EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                                      ref.size() * sizeof(float)),
+                          0)
+                    << "input " << i;
+            }
         }
     }
 }
