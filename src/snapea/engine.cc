@@ -453,21 +453,25 @@ SnapeaEngine::runConv(int layer_idx, const Conv2D &conv, const Tensor &in,
         return false;
     const PreparedLayer &pl = it->second;
 
+    if (mode_ == ExecMode::Instrumented) {
+        runInstrumented(layer_idx, pl, conv, in, out);
+        return true;
+    }
+    // Outputs-only modes decline layers with no speculating kernel:
+    // after ReLU the sign cut is lossless, so the plain dense
+    // convolution (Conv2D::forward, which lanes over windows or
+    // channels without idling) gives the layer's answer — and gives
+    // the right one for signed inputs too, where the cut would not.
+    if (!pl.any_predictive)
+        return false;
     if (mode_ == ExecMode::Fast) {
-        // Layers with no speculating kernel produce bit-identical
-        // output to the plain convolution; skip the override.
-        if (!pl.any_predictive)
-            return false;
         runFast(pl, conv, in, out);
-    } else if (mode_ == ExecMode::Serving) {
+    } else {
         // What a deployed PE does: need_full=false, so a terminated
         // window stops paying MACs right there, and nothing is
-        // recorded — wall clock tracks Eq. (1) instead of the full
-        // convolution.
+        // recorded.
         walk(pl, conv, in, out, /*need_full=*/false,
              [](std::int64_t, size_t, const WalkedWindow &) {});
-    } else {
-        runInstrumented(layer_idx, pl, conv, in, out);
     }
     return true;
 }

@@ -14,12 +14,19 @@
  *    else recorded (what snapea_serve runs).
  *  - Instrumented: the same walk, also producing Eq. (1) op counts
  *    for the cycle simulator plus the true/false negative statistics
- *    of Table V.  Serving and Instrumented outputs are bitwise equal.
+ *    of Table V.
  *
- * All modes produce identical zeroing decisions (the prefix sums are
- * accumulated in the same order); completed windows of Fast may
- * differ from the walk's in the last float ulp because accumulation
- * order differs.
+ * Fast and Serving decline layers with no speculating kernel: after
+ * ReLU the sign cut is lossless, so the plain dense convolution gives
+ * those layers' answer at dense speed (and, unlike the cut, for
+ * signed inputs too).  Serving and Instrumented outputs are therefore
+ * bitwise equal on speculating layers only; over the exact plan,
+ * Serving and Fast outputs are bitwise the plain convolution's.
+ *
+ * On speculating layers all modes produce identical zeroing decisions
+ * (the prefix sums are accumulated in the same order); completed
+ * windows of Fast may differ from the walk's in the last float ulp
+ * because accumulation order differs.
  *
  * Every mode runs on the SIMD row kernels of snapea/kernels/ for
  * windows away from the input borders (several windows per lane-
@@ -171,13 +178,15 @@ enum class ExecMode {
     Fast,          ///< Outputs only; no op counts, no stats.
     Instrumented,  ///< Honest walk: op traces + Table V statistics.
     /**
-     * Outputs via the honest early-terminating walk, nothing else:
-     * no statistics, no continuation past termination, so the MACs a
-     * window saves are saved in wall clock too.  This is what a
-     * deployed PE does per request, and what snapea_serve runs —
-     * service time under the Serving mode scales with Eq. (1) op
-     * counts, making the predictive accuracy knob a genuine latency
-     * lever.  Thread-confined like Instrumented (per-engine
+     * What snapea_serve runs.  Layers with a speculating kernel take
+     * the honest early-terminating walk with nothing else recorded:
+     * no statistics, no continuation past termination — what a
+     * deployed PE does per request, bitwise equal to Instrumented's
+     * outputs.  Layers whose kernels only have the sign cut are
+     * declined and run on the plain dense kernels: the cut is
+     * lossless after ReLU, and a SIMD lane that stops early only
+     * idles its neighbours, so the walk costs several times dense
+     * there.  Thread-confined like Instrumented (per-engine
      * scratch); distinct engines may run concurrently.
      */
     Serving,
