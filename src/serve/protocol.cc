@@ -111,7 +111,10 @@ encodeFrame(const FrameHeader &h, std::string_view body)
     putU32(p + 16, h.aux);
     putU32(p + 20, static_cast<uint32_t>(body.size()));
     putU32(p + 24, crc32(body));
-    std::memcpy(out.data() + kHeaderBytes, body.data(), body.size());
+    // An empty body may have a null data(); memcpy forbids that even
+    // for zero bytes.
+    if (!body.empty())
+        std::memcpy(out.data() + kHeaderBytes, body.data(), body.size());
     return out;
 }
 

@@ -1,5 +1,6 @@
 #include "util/fault.hh"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -234,9 +235,17 @@ faultCrashPoint(const char *site)
     // These are the whole point of the crash domain — the terminators
     // below are injected deaths under test, not library error paths.
     switch ((hit - 1) % 3) {
-      case 0:
+      case 0: {
+        // Restore the default action first: a runtime that installed
+        // its own SIGSEGV handler (a sanitizer, a crash reporter)
+        // would otherwise turn the injected death into an exit.
+        struct sigaction dfl = {};
+        dfl.sa_handler = SIG_DFL;
+        sigemptyset(&dfl.sa_mask);
+        sigaction(SIGSEGV, &dfl, nullptr);
         raise(SIGSEGV);
         break;
+      }
       case 1:
         abort(); // snapea-lint: allow(SL001)
         break;
