@@ -5,11 +5,16 @@
  * Queue depth drives the serving level:
  *
  *   Exact      -> full-precision SnaPEA exact mode (sign-check
- *                 reordering only; bitwise-equal to the plain conv).
+ *                 reordering only).  Bitwise-equal to the plain conv:
+ *                 the sign cut is lossless after ReLU, so Serving
+ *                 engines decline these layers and the dense kernels
+ *                 compute them.
  *   Predictive -> the Fig. 11 accuracy knob: every kernel speculates
  *                 with the configured threshold mu, trading a bounded
- *                 accuracy loss for fewer MACs per window, so the
- *                 queue drains faster under load.
+ *                 accuracy loss for fewer MACs per window (Eq. (1)).
+ *                 On a CPU the walk that saves those MACs costs more
+ *                 wall time than the dense exact level; STATS reports
+ *                 both levels' measured ms_per_image.
  *   Reject     -> admission control refuses new work (Overloaded)
  *                 until the backlog recedes; queued work still runs.
  *

@@ -95,7 +95,8 @@ ServeStats::toJson(size_t queue_depth, size_t queue_capacity,
     char buf[2048];
     std::snprintf(
         buf, sizeof(buf),
-        "{\"admitted\": %llu, \"rejected\": %llu, \"shed\": %llu, "
+        "{\"admitted\": %llu, \"rejected\": %llu, \"invalid\": %llu, "
+        "\"shed\": %llu, "
         "\"failed\": %llu, \"worker_lost\": %llu, \"retries\": %llu, "
         "\"completed\": {\"exact\": %llu, \"predictive\": %llu}, "
         "\"batches\": %llu, \"batch_size_avg\": %.3f, "
@@ -106,13 +107,16 @@ ServeStats::toJson(size_t queue_depth, size_t queue_capacity,
         "\"audit\": {\"samples\": %llu, \"divergent\": %llu, "
         "\"dropped\": %llu, \"window_rate\": %.4f, \"veto\": %s}, "
         "\"calib\": {"
-        "\"exact\": {\"early_term_rate\": %.4f, \"mac_ratio\": %.4f}, "
+        "\"exact\": {\"early_term_rate\": %.4f, \"mac_ratio\": %.4f, "
+        "\"ms_per_image\": %.3f}, "
         "\"predictive\": {\"early_term_rate\": %.4f, "
-        "\"mac_ratio\": %.4f}}}",
+        "\"mac_ratio\": %.4f, \"ms_per_image\": %.3f}}}",
         static_cast<unsigned long long>(
             admitted_.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
             rejected_.load(std::memory_order_relaxed)),
+        static_cast<unsigned long long>(
+            invalid_.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
             shed_.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
@@ -136,8 +140,9 @@ ServeStats::toJson(size_t queue_depth, size_t queue_capacity,
             audit_dropped_.load(std::memory_order_relaxed)),
         audit_rate < 0 ? 0.0 : audit_rate,
         audit_veto ? "true" : "false",
-        exact.early_term_rate, exact.mac_ratio,
-        predictive.early_term_rate, predictive.mac_ratio);
+        exact.early_term_rate, exact.mac_ratio, exact.ms_per_image,
+        predictive.early_term_rate, predictive.mac_ratio,
+        predictive.ms_per_image);
     return buf;
 }
 

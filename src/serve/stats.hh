@@ -29,15 +29,25 @@ namespace snapea::serve {
 
 /**
  * Startup-measured execution profile of one serving level: what one
- * instrumented calibration image said about early termination.  The
+ * instrumented calibration image said about early termination, and
+ * what one Serving forward of that image cost on this host.  The
  * Serving-mode engines answering traffic collect no statistics, so
- * these are the (deterministic) constants the stats endpoint reports
- * as the level's early-termination behavior.
+ * these are the constants the stats endpoint reports as the level's
+ * behavior.
  */
 struct LevelCalib
 {
     double early_term_rate = 0.0; ///< Terminated windows / windows.
-    double mac_ratio = 1.0;       ///< MACs performed / MACs full.
+    /**
+     * MACs performed / MACs full: the paper's Eq. (1) ratio for a PE
+     * that stops a window at its termination point.  It is not the
+     * work the CPU does — SIMD lanes cannot stop one by one, and the
+     * exact level runs the dense kernels — so ms_per_image is the
+     * level's cost.
+     */
+    double mac_ratio = 1.0;
+    /** Best-of-3 wall ms of one Serving-mode forward; 0 = unmeasured. */
+    double ms_per_image = 0.0;
 };
 
 /** Counter + reservoir state shared by the server's threads. */
@@ -53,6 +63,11 @@ class ServeStats
     void recordRejected()
     {
         rejected_.fetch_add(1, std::memory_order_relaxed);
+    }
+    /** An Infer body of the wrong size or with a non-finite value. */
+    void recordInvalid()
+    {
+        invalid_.fetch_add(1, std::memory_order_relaxed);
     }
     void recordShed()
     {
@@ -111,6 +126,10 @@ class ServeStats
     {
         return rejected_.load(std::memory_order_relaxed);
     }
+    uint64_t invalidTotal() const
+    {
+        return invalid_.load(std::memory_order_relaxed);
+    }
     uint64_t shedTotal() const
     {
         return shed_.load(std::memory_order_relaxed);
@@ -157,6 +176,7 @@ class ServeStats
 
     std::atomic<uint64_t> admitted_{0};
     std::atomic<uint64_t> rejected_{0};
+    std::atomic<uint64_t> invalid_{0};
     std::atomic<uint64_t> shed_{0};
     std::atomic<uint64_t> failed_{0};
     std::atomic<uint64_t> worker_lost_{0};
